@@ -27,7 +27,7 @@ lint family covers this module).
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary
@@ -38,14 +38,15 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     _np = None
 
 from repro.errors import SimulationError
-from repro.frontend.isa import InstKind, MemSpace, UnitClass
+from repro.frontend.isa import OPCODES, InstKind, MemSpace, OpcodeInfo, UnitClass
 from repro.frontend.trace import ApplicationTrace, KernelTrace
 from repro.memory.access import coalesce
-from repro.memory.reuse_distance import LRUStack
+from repro.memory.reuse_distance import stack_distances
 
 #: Coalescing geometry shared by every modeled GPU (Turing/Ampere).
 LINE_BYTES = 128
 SECTOR_BYTES = 32
+SECTORS_PER_LINE = LINE_BYTES // SECTOR_BYTES
 
 #: Chain-term keys that are not (unit, latency_factor) ALU terms.
 BRANCH_TERM = ("branch",)
@@ -192,67 +193,28 @@ class WarpClass:
         )
 
 
-def _warp_skeleton(warp) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
-    """One warp's dependence skeleton: (terms, producer positions).
-
-    Warps issue strictly in order, so per-warp solo time is fully
-    determined by each instruction's pricing term plus the most
-    constraining producer it waits for: the latest writer of any of its
-    source/destination registers, preferring memory-class writers (their
-    latencies dominate).  Barriers and membars drain the pipeline, so
-    they wait on the most recent memory-class instruction (or, failing
-    that, the immediately preceding instruction) even without register
-    operands.  EXIT is unpriced — the timing model's final drain waits
-    for every producer's completion instead.
-    """
-    last_writer: Dict[int, int] = {}
-    terms: List[tuple] = []
-    producers: List[int] = []
-    last_memory = -1  # position of the most recent memory-class inst
-    for inst in warp.instructions:
-        term = _chain_term(inst)
-        if term is None:  # EXIT
-            continue
-        position = len(terms)
-        producer = -1
-        if inst.kind in (InstKind.BARRIER, InstKind.MEMBAR):
-            producer = last_memory if last_memory >= 0 else position - 1
-        else:
-            memory_producer = -1
-            for reg in inst.src_regs + inst.dest_regs:
-                writer = last_writer.get(reg, -1)
-                if writer > producer:
-                    producer = writer
-                if writer >= 0 and terms[writer] in _MEMORY_TERMS:
-                    memory_producer = max(memory_producer, writer)
-            if memory_producer >= 0:
-                producer = memory_producer
-        terms.append(term)
-        producers.append(producer)
-        if term in _MEMORY_TERMS:
-            last_memory = position
-        for reg in inst.dest_regs:
-            last_writer[reg] = position
-    return tuple(terms), tuple(producers)
-
-
-def _chain_term(inst) -> tuple:
-    """The pricing term an instruction contributes to a dependence chain
+def _opcode_term(info: OpcodeInfo):
+    """The pricing term an opcode contributes to a dependence chain
     (``None`` for EXIT, which costs nothing once the pipeline drained)."""
-    kind = inst.kind
+    kind = info.kind
     if kind is InstKind.EXIT:
         return None
     if kind is InstKind.BRANCH:
         return BRANCH_TERM
     if kind in (InstKind.BARRIER, InstKind.MEMBAR):
         return SYNC_TERM
-    if inst.is_memory:
-        if inst.mem_space is MemSpace.SHARED:
+    if info.is_memory:
+        if info.mem_space is MemSpace.SHARED:
             return SHARED_TERM
         if kind is InstKind.STORE:
             return STORE_TERM
         return LOAD_TERM
-    return _alu_term(inst.unit, inst.latency_factor)
+    return _alu_term(info.unit, info.latency_factor)
+
+
+#: Pricing term per opcode mnemonic.  Keyed by the mnemonic string,
+#: which hashes far faster than the frozen :class:`OpcodeInfo`.
+_OPCODE_TERMS = {name: _opcode_term(info) for name, info in OPCODES.items()}
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +222,23 @@ def _chain_term(inst) -> tuple:
 
 
 def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
+    """One fused pass per warp, then offline stack distances.
+
+    Each priced instruction's term is looked up once; the same loop
+    builds the warp's dependence skeleton and term counts and, for every
+    global load/store, appends its coalesced sector keys to one flat
+    kernel-wide stream.  Warps issue strictly in order, so a warp's solo
+    time is fully determined by each instruction's term plus the most
+    constraining producer it waits for: the latest writer of any of its
+    source/destination registers, preferring memory-class writers (their
+    latencies dominate).  Barriers and membars drain the pipeline, so
+    they wait on the most recent memory-class instruction (or, failing
+    that, the immediately preceding instruction) even without register
+    operands.  EXIT is unpriced — the timing model's final drain waits
+    for every producer's completion instead.  The tasklist totals all
+    derive from the summed term counts, and the sector stream's reuse
+    distances come from one :func:`stack_distances` call.
+    """
     np = _require_numpy()
     tasklist = KernelTasklist(
         name=kernel.name,
@@ -270,56 +249,76 @@ def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
         regs_per_thread=max(block.regs_per_thread for block in kernel.blocks),
         num_instructions=kernel.num_instructions,
     )
-    stack = LRUStack()  # one kernel-wide sector stream (see the docs)
-    inst_distances: List[float] = []
-    access_distances: List[float] = []
-    skeletons: Dict[Tuple[tuple, tuple], int] = {}  # skeleton -> warp count
-    warp_rows: List[Dict[tuple, int]] = []
+    sector_keys: List[int] = []  # one kernel-wide stream (see the docs)
+    transaction_counts: List[int] = []  # per global load/store
+    is_load: List[bool] = []
+    skeletons: Counter = Counter()  # skeleton -> warp count
+    warp_rows: List[Counter] = []
     for block in kernel.blocks:
         for warp in block.warps:
-            skeleton = _warp_skeleton(warp)
-            skeletons[skeleton] = skeletons.get(skeleton, 0) + 1
-            warp_row: Dict[tuple, int] = {}
-            warp_rows.append(warp_row)
+            warp_terms: List[tuple] = []
+            warp_producers: List[int] = []
+            last_writer: Dict[int, int] = {}
+            last_memory = -1  # position of the most recent memory-class inst
             for inst in warp.instructions:
-                kind = inst.kind
-                if kind is InstKind.EXIT:
+                term = _OPCODE_TERMS[inst.opcode]
+                if term is None:  # EXIT
                     continue
-                term = _chain_term(inst)
-                warp_row[term] = warp_row.get(term, 0) + 1
-                if kind is InstKind.BRANCH:
-                    tasklist.branch_insts += 1
-                    continue
-                if kind in (InstKind.BARRIER, InstKind.MEMBAR):
-                    tasklist.sync_insts += 1
-                    continue
-                if inst.is_memory:
-                    if inst.mem_space is MemSpace.SHARED:
-                        tasklist.shared_insts += 1
-                        continue
-                    tasklist.ldst_insts += 1
+                position = len(warp_terms)
+                producer = -1
+                if term is SYNC_TERM:
+                    producer = last_memory if last_memory >= 0 else position - 1
+                else:
+                    memory_producer = -1
+                    for reg in inst.src_regs + inst.dest_regs:
+                        writer = last_writer.get(reg)
+                        if writer is None:
+                            continue
+                        if writer > producer:
+                            producer = writer
+                        if (writer > memory_producer
+                                and warp_terms[writer] in _MEMORY_TERMS):
+                            memory_producer = writer
+                    if memory_producer >= 0:
+                        producer = memory_producer
+                warp_terms.append(term)
+                warp_producers.append(producer)
+                if term in _MEMORY_TERMS:
+                    last_memory = position
+                for reg in inst.dest_regs:
+                    last_writer[reg] = position
+                if term is LOAD_TERM or term is STORE_TERM:
                     transactions = coalesce(
                         inst.addresses, LINE_BYTES, SECTOR_BYTES
                     )
-                    is_store = kind is InstKind.STORE
-                    worst = 0.0
-                    for tx in transactions:
-                        distance = stack.access((tx.line_addr, tx.sector))
-                        value = math.inf if distance is None else float(distance)
-                        if not is_store:
-                            access_distances.append(value)
-                            worst = max(worst, value)
-                    if is_store:
-                        tasklist.global_stores += 1
-                        tasklist.store_transactions += len(transactions)
-                    else:
-                        tasklist.global_loads += 1
-                        tasklist.load_transactions += len(transactions)
-                        inst_distances.append(worst)
-                    continue
-                key = (inst.unit.value, inst.latency_factor)
-                tasklist.unit_counts[key] = tasklist.unit_counts.get(key, 0) + 1
-    terms = sorted({term for row in warp_rows for term in row})
+                    sector_keys.extend([
+                        tx.line_addr * SECTORS_PER_LINE + tx.sector
+                        for tx in transactions
+                    ])
+                    transaction_counts.append(len(transactions))
+                    is_load.append(term is LOAD_TERM)
+            skeletons[tuple(warp_terms), tuple(warp_producers)] += 1
+            warp_rows.append(Counter(warp_terms))
+
+    totals: Counter = Counter()
+    for row in warp_rows:
+        totals.update(row)
+    tasklist.unit_counts = {
+        term[1:]: count for term, count in totals.items() if term[0] == "alu"
+    }
+    tasklist.branch_insts = totals[BRANCH_TERM]
+    tasklist.sync_insts = totals[SYNC_TERM]
+    tasklist.shared_insts = totals[SHARED_TERM]
+    tasklist.global_loads = totals[LOAD_TERM]
+    tasklist.global_stores = totals[STORE_TERM]
+    tasklist.ldst_insts = tasklist.global_loads + tasklist.global_stores
+    counts = np.asarray(transaction_counts, dtype=np.int64)
+    loads = np.asarray(is_load, dtype=bool)
+    load_counts = counts[loads]
+    tasklist.load_transactions = int(load_counts.sum())
+    tasklist.store_transactions = int(counts.sum()) - tasklist.load_transactions
+
+    terms = sorted(totals)
     term_index = {term: i for i, term in enumerate(terms)}
     warp_counts = np.zeros((len(warp_rows), len(terms)), dtype=np.int64)
     for row_number, row in enumerate(warp_rows):
@@ -339,12 +338,19 @@ def _characterize_kernel(kernel: KernelTrace) -> KernelTasklist:
             skeletons.items()
         )
     )
-    tasklist.load_inst_distances = np.sort(
-        np.asarray(inst_distances, dtype=np.float64)
-    )
-    tasklist.load_access_distances = np.sort(
-        np.asarray(access_distances, dtype=np.float64)
-    )
+
+    # Loads record their distances; stores only advance the stream.
+    access_distances = stack_distances(sector_keys)[np.repeat(loads, counts)]
+    if load_counts.shape[0]:
+        # Per load instruction, its worst (largest) transaction distance.
+        # reduceat needs non-empty groups: every load carries one address
+        # per active thread, and a trace's active mask is never empty.
+        starts = np.cumsum(load_counts) - load_counts
+        inst_distances = np.maximum.reduceat(access_distances, starts)
+    else:
+        inst_distances = access_distances
+    tasklist.load_inst_distances = np.sort(inst_distances)
+    tasklist.load_access_distances = np.sort(access_distances)
     return tasklist
 
 
@@ -371,7 +377,3 @@ def precharacterize(app: ApplicationTrace) -> ApplicationTasklist:
     _TASKLIST_MEMO[app] = tasklist
     return tasklist
 
-
-def warps_in_kernel(tasklist: KernelTasklist) -> int:
-    """Total warps launched by the kernel (for IPC-style sanity checks)."""
-    return int(tasklist.warp_counts.shape[0]) if tasklist.warp_counts is not None else 0

@@ -10,7 +10,8 @@ the simulators must capture.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from typing import List, Sequence
 
 
 class SectorTransaction:
@@ -54,16 +55,17 @@ def coalesce(
 
     Transactions are returned in first-touch order (the order the hardware
     generates them while walking lanes), each annotated with how many
-    threads it serves.
+    threads it serves.  Both sizes are powers of two with
+    ``sector_bytes <= line_bytes`` (:class:`~repro.frontend.config.CacheConfig`
+    enforces it), so a global sector number splits exactly into
+    (line, sector within line).
     """
     sectors_per_line = line_bytes // sector_bytes
-    touched: Dict[Tuple[int, int], int] = {}
-    for addr in addresses:
-        line_addr = addr // line_bytes
-        sector = (addr // sector_bytes) % sectors_per_line
-        key = (line_addr, sector)
-        touched[key] = touched.get(key, 0) + 1
     return [
-        SectorTransaction(line_addr, sector, count)
-        for (line_addr, sector), count in touched.items()
+        SectorTransaction(
+            sector // sectors_per_line, sector % sectors_per_line, count
+        )
+        for sector, count in Counter(
+            addr // sector_bytes for addr in addresses
+        ).items()
     ]

@@ -9,17 +9,31 @@ approximation of reuse-distance theory.
 
 Stack distances are computed with the standard O(n log n) algorithm: a
 Fenwick tree over access timestamps counts the *distinct* blocks touched
-since the previous access to the same block.
+since the previous access to the same block.  :func:`stack_distances`
+computes the same distances offline, for a whole stream at once, with
+numpy (the analytic tier's pre-characterization pass uses it).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+try:  # numpy backs only the offline stack_distances; `import repro` and
+    import numpy as _np  # the incremental profiler work without it.
+except ImportError:  # pragma: no cover - exercised only on minimal installs
+    _np = None
+
+from repro.errors import SimulationError
 from repro.frontend.config import GPUConfig
 from repro.frontend.isa import InstKind, MemSpace
 from repro.frontend.trace import KernelTrace
 from repro.memory.access import coalesce
+
+
+def _require_numpy():
+    if _np is None:
+        raise SimulationError("stack_distances requires numpy")
+    return _np
 
 
 class _Fenwick:
@@ -82,9 +96,65 @@ class _LRUStack:
         return distance
 
 
-#: Public name for standalone stack-distance tracking (the analytic
-#: tier's pre-characterization pass runs one per kernel).
-LRUStack = _LRUStack
+def stack_distances(keys):
+    """Stack distance of every access in ``keys`` (float64, ``inf`` = cold).
+
+    The offline, vectorized equivalent of feeding ``keys`` one by one to
+    :meth:`_LRUStack.access`.  Each access ``i`` whose key was last seen
+    at ``p`` touched ``(i - p - 1) - #{j in (p, i) : prev_j > p}``
+    distinct keys since then, where ``prev_j`` is the previous
+    occurrence of ``keys[j]``: a window position counts unless its key
+    already occurred earlier in the window.  Positions ``j <= p`` cannot
+    have ``prev_j > p``, and a cold ``j`` has ``prev_j = -1``, so the
+    correction is ``#{j < i, j repeat : prev_j > prev_i}`` — counted over
+    the repeat accesses alone by :func:`_greater_before`.
+    """
+    np = _require_numpy()
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.shape[0]
+    distances = np.full(n, np.inf)
+    if n < 2:
+        return distances
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    repeats = order[1:][same]  # positions of repeat accesses, unordered
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[repeats] = order[:-1][same]
+    repeats.sort()
+    previous = prev[repeats]
+    distances[repeats] = (repeats - previous - 1) - _greater_before(previous)
+    return distances
+
+
+def _greater_before(values):
+    """``counts[i] = #{j < i : values[j] > values[i]}`` for distinct
+    non-negative integers, by bottom-up merge levels.
+
+    At the level of width ``w`` the blocks ``[k*w, (k+1)*w)`` are
+    sorted by value; each right block is counted against its left
+    sibling with one ``searchsorted`` over all left blocks (keys offset
+    by pair so the left blocks concatenate into one sorted array), then
+    each sibling pair is merged.  Every pair ``j < i`` is counted once,
+    at the level where ``j`` and ``i`` first fall in sibling blocks.
+    """
+    np = _require_numpy()
+    n = values.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    span = int(values.max()) + 1 if n else 1
+    index = np.arange(n)  # original positions, sorted within blocks
+    width = 1
+    while width < n:
+        keys = (index // (2 * width)) * span + values[index]
+        right = ((index // width) & 1).astype(bool)
+        left_keys = keys[~right]
+        right_keys = keys[right]
+        left_ends = np.searchsorted(left_keys, (right_keys // span + 1) * span)
+        not_greater = np.searchsorted(left_keys, right_keys, side="right")
+        counts[index[right]] += left_ends - not_greater
+        # Each sibling pair is two sorted runs; a stable sort merges them.
+        index = index[np.argsort(keys, kind="stable")]
+        width *= 2
+    return counts
 
 
 class PCProfile:

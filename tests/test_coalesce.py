@@ -1,6 +1,30 @@
 """Unit tests for the memory-access coalescer."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.memory.access import SectorTransaction, coalesce
+
+
+def _naive_coalesce(addresses, line_bytes, sector_bytes):
+    """First-touch (line, sector) order with per-sector thread counts."""
+    order = []
+    counts = {}
+    for addr in addresses:
+        key = (addr // line_bytes, (addr % line_bytes) // sector_bytes)
+        if key not in counts:
+            order.append(key)
+            counts[key] = 0
+        counts[key] += 1
+    return [(line, sector, counts[line, sector]) for line, sector in order]
+
+
+#: Power-of-two (line, sector) geometries with sector <= line, as
+#: ``CacheConfig`` requires.
+geometries = st.integers(0, 8).flatmap(
+    lambda line_log: st.tuples(
+        st.just(1 << line_log), st.integers(0, line_log).map(lambda s: 1 << s)
+    )
+)
 
 
 class TestCoalesce:
@@ -48,3 +72,19 @@ class TestCoalesce:
         assert SectorTransaction(1, 2, 3) == SectorTransaction(1, 2, 3)
         assert SectorTransaction(1, 2, 3) != SectorTransaction(1, 3, 3)
         assert hash(SectorTransaction(1, 2, 3)) == hash(SectorTransaction(1, 2, 5))
+
+
+@given(
+    st.lists(
+        st.integers(0, 1 << 12) | st.integers(0, 1 << 34), max_size=32
+    ),
+    geometries,
+)
+@settings(max_examples=150, deadline=None)
+def test_coalesce_matches_naive_reference(addresses, geometry):
+    line_bytes, sector_bytes = geometry
+    got = [
+        (tx.line_addr, tx.sector, tx.thread_count)
+        for tx in coalesce(addresses, line_bytes, sector_bytes)
+    ]
+    assert got == _naive_coalesce(addresses, line_bytes, sector_bytes)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and the
 framework's central invariants."""
 
+import math
 import random as stdlib_random
 from collections import OrderedDict
 
@@ -12,7 +13,7 @@ from repro.frontend.trace import TraceInstruction
 from repro.frontend.trace_io import parse_trace, save_trace
 from repro.memory.access import coalesce
 from repro.memory.cache import AccessStatus, SectoredCache
-from repro.memory.reuse_distance import _LRUStack
+from repro.memory.reuse_distance import _LRUStack, stack_distances
 from repro.core.scoreboard import Scoreboard
 from repro.sim.plan import SWIFT_BASIC_PLAN, SWIFT_MEMORY_PLAN
 from repro.simulators.base import PlanSimulator
@@ -156,6 +157,35 @@ class TestReuseDistanceProperties:
             distance = stack.access((block, 0))
             if distance is not None:
                 assert 0 <= distance <= 10
+
+    @staticmethod
+    def _incremental(keys):
+        stack = _LRUStack()
+        distances = (stack.access(key) for key in keys)
+        return [math.inf if d is None else float(d) for d in distances]
+
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=300))
+    @settings(max_examples=80, deadline=None)
+    def test_offline_distances_match_incremental_stack(self, keys):
+        distances = stack_distances(keys)
+        assert distances.dtype.name == "float64"
+        assert distances.tolist() == self._incremental(keys)
+
+    @given(st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                    max_size=60, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_offline_all_cold_stream(self, keys):
+        assert stack_distances(keys).tolist() == [math.inf] * len(keys)
+
+    @given(st.integers(min_value=0, max_value=1 << 40), st.integers(1, 50))
+    @settings(max_examples=30, deadline=None)
+    def test_offline_single_key_stream(self, key, length):
+        expected = [math.inf] + [0.0] * (length - 1)
+        assert stack_distances([key] * length).tolist() == expected
+
+    def test_offline_empty_stream(self):
+        distances = stack_distances([])
+        assert distances.shape == (0,) and distances.dtype.name == "float64"
 
 
 # ----------------------------------------------------------------------
