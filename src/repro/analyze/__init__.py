@@ -21,16 +21,7 @@ them at commit time, with an AST-based whole-program analysis (stdlib
   from the clocked phase, mutable class attributes on modules;
 * **SW — sweep safety**: unpicklable fields on objects shipped to
   :mod:`repro.resilience` workers, complementing the runtime
-  ``validate_picklable`` pre-flight;
-* **SH — shard safety**: whole-program dataflow over every module's
-  clocked surface (:mod:`~repro.analyze.callgraph`,
-  :mod:`~repro.analyze.stateflow`) catching cross-module races before a
-  PDES decomposition exists to hit them — unsynchronized cross-shard
-  writes (SH501), mutable objects retained across ports (SH502), and
-  tick-order-dependent cross-module reads (SH503).  The same analysis
-  emits a partition manifest (:mod:`~repro.analyze.partition`,
-  ``repro lint --partition-report``) proposing SM-side/memory-side
-  shards with every cross-shard edge enumerated.
+  ``validate_picklable`` pre-flight.
 
 Mechanics shared by all rules: a pluggable registry
 (:mod:`~repro.analyze.registry`), per-rule severity with a
@@ -55,10 +46,8 @@ from repro.analyze.baseline import (
     prune_baseline,
     write_baseline,
 )
-from repro.analyze.callgraph import CallGraph, build_callgraph
 from repro.analyze.findings import SEVERITIES, LintFinding
 from repro.analyze.index import AstCache, ProgramIndex, SourceFile, load_index
-from repro.analyze.partition import Partition, build_partition, write_manifest
 from repro.analyze.registry import (
     FAMILIES,
     RULES,
@@ -69,27 +58,20 @@ from repro.analyze.registry import (
 )
 from repro.analyze.runner import FAIL_ON, LintReport, lint_paths
 from repro.analyze.sarif import to_sarif, to_sarif_json
-from repro.analyze.stateflow import StateFlow, build_stateflow
 
 __all__ = [
     "FAIL_ON",
     "FAMILIES",
     "AstCache",
-    "CallGraph",
     "LintFinding",
     "LintReport",
-    "Partition",
     "ProgramIndex",
     "RULES",
     "Rule",
     "SEVERITIES",
     "SourceFile",
-    "StateFlow",
     "all_rules",
     "apply_baseline",
-    "build_callgraph",
-    "build_partition",
-    "build_stateflow",
     "catalog_hash",
     "lint_paths",
     "load_baseline",
@@ -99,5 +81,4 @@ __all__ = [
     "to_sarif",
     "to_sarif_json",
     "write_baseline",
-    "write_manifest",
 ]

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 from repro.errors import AnalysisError
 
 #: Bump when parsing/extraction changes, to invalidate persisted caches.
-ANALYZER_VERSION = 2
+ANALYZER_VERSION = 3
 
 #: Framework root classes: subclassing one of these (by name, transitively
 #: through the index) makes a class part of the modeled-module hierarchy.
@@ -38,7 +38,6 @@ SINK_ROOTS = frozenset({"InstructionSink", "CompletionListener", "BlockSource"})
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
 _PAYLOAD_RE = re.compile(r"#\s*repro:\s*sweep-payload")
-_PORT_RE = re.compile(r"#\s*repro:\s*port\b")
 
 #: Statement kinds whose noqa coverage is their *header* only (covering
 #: the whole body would let one comment waive a hundred lines).
@@ -69,10 +68,6 @@ class ClassInfo:
     self_attrs: Set[str] = field(default_factory=set)
     #: whether any method carries @abstractmethod
     is_abstract: bool = False
-    #: methods carrying a ``# repro: port`` marker (on the def/decorator
-    #: header or the line immediately above it) — declared cross-module
-    #: communication points the sharding rules treat as synchronized
-    port_methods: Set[str] = field(default_factory=set)
 
 
 class SourceFile:
@@ -96,11 +91,9 @@ class SourceFile:
         self.noqa: Dict[int, Optional[FrozenSet[str]]] = {}
         #: lines carrying a ``# repro: sweep-payload`` marker
         self.payload_lines: Set[int] = set()
-        #: lines carrying a ``# repro: port`` marker
-        self.port_lines: Set[int] = set()
         # Markers are honored only in *actual comments* (tokenize), never
         # inside string literals — otherwise documentation that merely
-        # mentions the noqa/port syntax would suppress (or, with
+        # mentions the noqa/payload syntax would suppress (or, with
         # unknown-rule validation, reject) findings on its own line.
         for lineno, comment in _comment_lines(text):
             match = _NOQA_RE.search(comment)
@@ -112,8 +105,6 @@ class SourceFile:
                 )
             if _PAYLOAD_RE.search(comment):
                 self.payload_lines.add(lineno)
-            if _PORT_RE.search(comment):
-                self.port_lines.add(lineno)
         #: noqa coverage widened to the enclosing statement: a suppression
         #: on any physical line of a multi-line statement (or on a
         #: decorator / def header) covers findings reported anywhere in
@@ -234,13 +225,6 @@ def _extract_class(info: ClassInfo) -> None:
                 )
                 if name in ("abstractmethod", "abstractproperty"):
                     info.is_abstract = True
-            header_start = min(
-                [d.lineno for d in stmt.decorator_list] + [stmt.lineno]
-            )
-            header_end = stmt.body[0].lineno - 1 if stmt.body else stmt.lineno
-            marker_window = set(range(header_start - 1, header_end + 1))
-            if marker_window & info.source.port_lines:
-                info.port_methods.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -266,10 +250,6 @@ class ProgramIndex:
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = list(files)
-        #: memoized derived analyses (call graph, state flow, partition)
-        #: keyed by analysis name — they are pure functions of the index,
-        #: so rules sharing one index share one computation
-        self.analysis_cache: Dict[str, object] = {}
         #: bare class name -> definitions (collisions keep all)
         self.classes: Dict[str, List[ClassInfo]] = {}
         #: class names instantiated anywhere (Call to the bare name)
@@ -384,15 +364,6 @@ class ProgramIndex:
             if "abstractmethod" not in decorated:
                 return True
         return False
-
-    def port_marked(self, info: ClassInfo, method: str) -> bool:
-        """Is ``method`` declared a ``# repro: port`` on ``info`` or any
-        in-index ancestor?"""
-        if method in info.port_methods:
-            return True
-        return any(
-            method in ancestor.port_methods for ancestor in self.ancestry(info)
-        )
 
 
 # ----------------------------------------------------------------------

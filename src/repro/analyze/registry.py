@@ -25,7 +25,6 @@ FAMILIES = {
     "DT": "determinism",
     "WR": "wiring & race surface",
     "SW": "sweep safety",
-    "SH": "shard safety",
 }
 
 
@@ -74,7 +73,6 @@ def all_rules() -> List[Rule]:
     from repro.analyze import (  # noqa: F401
         rules_determinism,
         rules_interface,
-        rules_sharding,
         rules_sweep,
         rules_wiring,
     )

@@ -3,7 +3,7 @@
 Swift-Sim's speedups are *exactness claims*: clock jumping and hybrid
 modules must agree with per-cycle, cycle-accurate execution wherever
 their plans coincide.  This package turns those claims into
-machine-checked invariants, in ten pillars:
+machine-checked invariants, in eight pillars:
 
 1. :class:`~repro.check.sanitizer.EngineSanitizer` — runtime checker
    hooks on the engine (monotonic ticks, stable same-cycle ordering, no
@@ -31,12 +31,7 @@ machine-checked invariants, in ten pillars:
    checkpoint and resumed must be bit-identical to an uninterrupted
    one, and injected saboteurs must be detected with forensic bundles
    (see ``docs/robustness-guard.md``);
-8. :func:`~repro.check.sharded.sharded_check` — sharded PDES runs
-   (the partition-manifest decomposition on the lockstep parallel
-   engine, plus the two-way SM/memory split) must be bit-identical to
-   serial runs on every cycle boundary and every counter — tick
-   observers included (see ``docs/parallel-engine.md``);
-9. :func:`~repro.check.serve.serve_check` — the sweep service
+8. :func:`~repro.check.serve.serve_check` — the sweep service
    (:mod:`repro.serve`) killed mid-sweep and restarted must converge
    bit-identically to an uninterrupted server, grid re-submission must
    be >90% cache hits, and degraded answers must carry their tags and
@@ -44,14 +39,6 @@ machine-checked invariants, in ten pillars:
    ``docs/serving.md``).  Spawns server subprocesses, so it runs only
    when requested explicitly (``--mode serve``), never under
    ``--mode all``.
-10. :func:`~repro.check.shardfault.shardfault_check` — sharded PDES
-   runs whose workers are chaos-killed or chaos-hung mid-window must
-   recover by transcript replay — or degrade to the in-process
-   lockstep engine — and still end bit-identical to serial with an
-   empty ignore set; a hung worker must be reaped at its heartbeat
-   deadline (see ``docs/parallel-engine.md``).  Spawns worker
-   subprocesses, so like "serve" it runs only by name
-   (``--mode shardfault``).
 
 ``repro check`` (see :mod:`repro.cli`) drives all of this from the
 command line and emits a machine-readable JSON report; see
@@ -71,12 +58,6 @@ from repro.check.runner import MODES, run_checks, select_apps
 from repro.check.sanitizer import EngineSanitizer
 from repro.check.serve import serve_check
 from repro.check.shadow import TICK_OBSERVER_COUNTERS, shadow_jump_check
-from repro.check.sharded import (
-    default_shard_plans,
-    sharded_check,
-    sharded_equivalence_check,
-)
-from repro.check.shardfault import shardfault_check
 from repro.check.static import static_check
 
 __all__ = [
@@ -91,13 +72,9 @@ __all__ = [
     "differential_check",
     "guard_check",
     "resilience_check",
-    "default_shard_plans",
     "run_checks",
     "select_apps",
     "serve_check",
     "shadow_jump_check",
-    "sharded_check",
-    "sharded_equivalence_check",
-    "shardfault_check",
     "static_check",
 ]

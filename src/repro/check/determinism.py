@@ -1,7 +1,7 @@
 """Determinism verification: serial, parallel, and repeated runs agree.
 
-Three reproducibility contracts, each load-bearing for the ROADMAP's
-push toward sharding/async/caching:
+Three reproducibility contracts, each load-bearing for parallel
+fan-out, resumable sweeps and result caching:
 
 * **repeatability** — regenerating a workload (every generator is
   seeded via :func:`repro.utils.rng.derive_seed`) and re-simulating it

@@ -21,16 +21,14 @@ from repro.check.report import CheckReport, info
 from repro.check.resilience import resilience_check
 from repro.check.sanitizer import EngineSanitizer
 from repro.check.shadow import shadow_jump_check
-from repro.check.sharded import sharded_check
 from repro.check.static import static_check
 
 #: The verification modes ``repro check`` accepts.  "all" covers the
-#: in-process pillars; "serve" and "shardfault" spawn worker
-#: subprocesses (and "serve" binds unix sockets), so they only run when
-#: requested by name.
+#: in-process pillars; "serve" spawns server subprocesses and binds
+#: unix sockets, so it only runs when requested by name.
 MODES = (
-    "shadow-jump", "sharded", "differential", "determinism", "sanitize",
-    "resilience", "static", "guard", "serve", "shardfault", "all",
+    "shadow-jump", "differential", "determinism", "sanitize",
+    "resilience", "static", "guard", "serve", "all",
 )
 
 
@@ -98,7 +96,6 @@ def run_checks(
     tolerance: float = DEFAULT_TOLERANCE,
     simulator_classes: Optional[Sequence[Type[PlanSimulator]]] = None,
     workers: Optional[int] = None,
-    partition_manifest: Optional[str] = None,
     progress=None,
 ) -> CheckReport:
     """Run the requested verification ``mode`` and return its report.
@@ -131,17 +128,6 @@ def run_checks(
                 report.extend(shadow_jump_check(simulator_cls(config), app))
                 report.checks_run += 1
                 step(f"shadow-jump {simulator_cls(config).name} x {name}")
-    if mode in ("sharded", "all"):
-        # Serial vs sharded-lockstep bit-equivalence, under the two-way
-        # split and the full partition-manifest decomposition
-        # (``partition_manifest`` loads a manifest file with stale
-        # protection; None rebuilds it from the live tree).
-        report.extend(sharded_check(
-            config, names, scale=scale, simulator_classes=classes,
-            partition_manifest=partition_manifest, progress=progress,
-        ))
-        report.checks_run += len(names) * len(classes)
-        step("sharded")
     if mode in ("differential", "all"):
         # The closed-form tier joins the default differential lineup (it
         # has no engine, so the engine-facing pillars skip it); explicit
@@ -206,17 +192,4 @@ def run_checks(
         report.extend(serve_check(config, names, scale=scale))
         report.checks_run += 3
         step("serve")
-    if mode == "shardfault":
-        # Chaos shard kills/hangs against the supervised multiprocess
-        # engine and the simulate(fault_policy=...) ladder, demanding
-        # bit-identity to serial with an empty ignore set.  Not part of
-        # "all" for the same reason as "serve": it spawns processes.
-        from repro.check.shardfault import shardfault_check
-
-        report.extend(shardfault_check(
-            config, names, scale=scale, simulator_classes=classes,
-            progress=progress,
-        ))
-        report.checks_run += 3 + len(names) * len(classes[1:] or classes)
-        step("shardfault")
     return report

@@ -52,22 +52,20 @@ def compare_results(
     shadow: SimulationResult,
     ignore_counters: frozenset = TICK_OBSERVER_COUNTERS,
     check: str = _CHECK,
-    labels: tuple = ("jump", "per-cycle"),
 ) -> List[CheckFinding]:
     """Findings for any observable difference between two runs.
 
     Shared bit-identity comparator: the shadow-jump pillar (its home),
-    the sharded pillar, the guard pillar, and the fast-path equivalence
-    tests all reduce to "these two runs must agree on everything" —
-    ``check`` tags whose contract a difference violates and ``labels``
-    names the two runs in the findings.
+    the guard pillar, and the fast-path equivalence tests all reduce to
+    "these two runs must agree on everything" — ``check`` tags whose
+    contract a difference violates.
     """
     findings: List[CheckFinding] = []
     if primary.total_cycles != shadow.total_cycles:
         findings.append(violation(
             check, subject,
-            f"final cycle differs: {labels[0]}={primary.total_cycles} "
-            f"{labels[1]}={shadow.total_cycles}",
+            f"final cycle differs: jump={primary.total_cycles} "
+            f"per-cycle={shadow.total_cycles}",
         ))
     a_kernels = [(k.name, k.start_cycle, k.end_cycle) for k in primary.kernels]
     b_kernels = [(k.name, k.start_cycle, k.end_cycle) for k in shadow.kernels]

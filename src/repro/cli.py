@@ -95,19 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="simulate one application")
     add_common(simulate)
     simulate.add_argument("--metrics", action="store_true", help="print the counter report")
-    simulate.add_argument(
-        "--parallel-shards", metavar="N", type=int, default=0,
-        help="run on the sharded PDES engine (lockstep, bit-identical to "
-             "serial): 2 = the two-way SM/memory split, any other N = the "
-             "partition-manifest decomposition (N must match its shard "
-             "count); 0 = serial engine",
-    )
-    simulate.add_argument(
-        "--partition-manifest", metavar="PATH",
-        help="partition manifest to shard by (from `repro lint "
-             "--partition-report`; stale manifests are rejected); default "
-             "rebuilds it from the live source tree",
-    )
 
     profile = commands.add_parser(
         "profile",
@@ -195,11 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--tolerance", type=float, default=None,
         help="relative cycle-divergence bound for hybrid simulators",
-    )
-    check.add_argument(
-        "--partition-manifest", metavar="PATH",
-        help="partition manifest for the sharded pillar (stale manifests "
-             "are rejected); default rebuilds it from the live source tree",
     )
     check.add_argument("--workers", type=int, default=None,
                        help="pool size for the determinism checks")
@@ -350,18 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fixed small CI configuration (bfs,gemm,sm at tiny scale, "
              "seed 2025) regardless of other selection flags",
     )
-    chaos.add_argument(
-        "--shard-faults", action="store_true",
-        help="run the shard-fault drills instead of the sweep: kill and "
-             "hang supervised PDES workers, assert transcript-replay "
-             "recovery (or degrade-to-lockstep) stays bit-identical to "
-             "serial (docs/parallel-engine.md)",
-    )
-    chaos.add_argument(
-        "--bundle-dir", default=None,
-        help="directory for shard-fault forensic bundles "
-             "(--shard-faults only)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -477,12 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--json", dest="json_out",
                       help="write the machine-readable report to this path")
-    lint.add_argument(
-        "--partition-report", metavar="PATH",
-        help="write the PDES partition manifest (proposed shards plus "
-             "every cross-shard edge) to PATH; exits 1 if any "
-             "unsynchronized cross-shard write remains",
-    )
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     return parser
@@ -534,62 +498,11 @@ def _cmd_tables(args) -> None:
     print(render_table2())
 
 
-def _resolve_shard_plan(args):
-    """The :class:`~repro.sim.shard.ShardPlan` ``--parallel-shards``
-    asks for, or ``None`` for a serial run."""
-    shards = getattr(args, "parallel_shards", 0)
-    manifest_path = getattr(args, "partition_manifest", None)
-    if not shards:
-        return None
-    from repro.errors import ConfigError
-    from repro.sim.shard import ShardPlan
-
-    if shards == 2 and not manifest_path:
-        return ShardPlan.two_way()
-    from repro.analyze.partition import load_manifest
-
-    if manifest_path:
-        manifest = load_manifest(manifest_path)
-    else:
-        from repro.analyze.index import load_index
-        from repro.analyze.partition import (
-            build_partition,
-            default_source_root,
-        )
-
-        root = default_source_root()
-        index = load_index([root], root=root)
-        manifest = build_partition(index).manifest(index)
-    plan = ShardPlan.from_manifest(
-        manifest, fallback=str(manifest["shards"][0]["name"])
-    )
-    if shards != len(plan.shards):
-        raise ConfigError(
-            f"--parallel-shards {shards} does not match the manifest "
-            f"decomposition ({len(plan.shards)} shards: "
-            f"{', '.join(plan.shards)}); pass {len(plan.shards)}, or 2 "
-            f"for the two-way split"
-        )
-    return plan
-
-
 def _cmd_simulate(args) -> None:
     gpu = _resolve_gpu(args)
     app = _resolve_app(args)
     simulator = SIMULATORS[args.simulator](gpu)
-    shard_plan = _resolve_shard_plan(args)
-    if shard_plan is None:
-        result = simulator.simulate(app)
-    else:
-        from repro.errors import ConfigError
-        from repro.simulators.base import PlanSimulator
-
-        if not isinstance(simulator, PlanSimulator):
-            raise ConfigError(
-                f"--parallel-shards needs an engine-driven simulator; "
-                f"{args.simulator!r} has no engine to shard"
-            )
-        result = simulator.simulate(app, shard_plan=shard_plan)
+    result = simulator.simulate(app)
     print(f"app        : {app.name} ({app.suite}), {len(app.kernels)} kernels, "
           f"{app.num_instructions} warp instructions")
     print(f"gpu        : {gpu.name}")
@@ -598,12 +511,6 @@ def _cmd_simulate(args) -> None:
     print(f"ipc        : {result.ipc:.3f}")
     print(f"wall time  : {result.wall_time_seconds:.3f}s "
           f"(+{result.profile_seconds:.3f}s profiling)")
-    if result.sharding is not None:
-        plan_doc = result.sharding["plan"]
-        traffic = result.sharding["port_traffic"]
-        print(f"sharding   : {plan_doc['name']} "
-              f"({len(plan_doc['shards'])} shards, lockstep), "
-              f"{sum(traffic.values())} cross-shard port calls")
     for kernel in result.kernels:
         print(f"  kernel {kernel.name:24s} {kernel.cycles:10d} cycles")
     metrics = result.metrics
@@ -744,7 +651,6 @@ def _cmd_check(args) -> None:
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         ),
         workers=args.workers,
-        partition_manifest=args.partition_manifest,
     )
     print(report.render(verbose=args.verbose))
     if args.json_out:
@@ -897,9 +803,6 @@ def _cmd_guard(args) -> None:
 
 
 def _cmd_chaos(args) -> None:
-    if args.shard_faults:
-        _chaos_shard_scenarios(args.bundle_dir)
-        return
     from repro.check.resilience import results_identical
     from repro.resilience.chaos import ChaosPlan
     from repro.resilience.policy import RetryPolicy
@@ -1031,36 +934,6 @@ def _chaos_sim_scenarios(gpu, simulator_cls, scale, kinds) -> int:
     return failed
 
 
-def _chaos_shard_scenarios(bundle_dir) -> None:
-    """Shard-fault chaos drills (``repro chaos --shard-faults``).
-
-    Reuses the shardfault check pillar's synthetic drills: kill a
-    supervised PDES worker mid-window and replay it back to the barrier,
-    hang one past its heartbeat deadline, and force retry exhaustion so
-    the run degrades to the in-process lockstep engine — each time
-    demanding bit-identity to the serial engine.  Raises
-    :class:`_CheckFailed` if any drill reports a violation.
-    """
-    from repro.check.shardfault import synthetic_drills
-
-    print("shard-fault drills: kill-recovery, hang-deadline, "
-          "forced-degrade (synthetic demo system, 2 shards)")
-    findings = synthetic_drills(
-        bundle_dir=bundle_dir,
-        progress=lambda message: print(f"  .. {message}"),
-    )
-    failed = 0
-    for finding in findings:
-        marker = "ok  " if finding.severity == "info" else "FAIL"
-        print(f"  {marker} {finding.subject}: {finding.message}")
-        if finding.severity == "violation":
-            failed += 1
-    if failed:
-        print(f"FAIL: {failed} shard-fault drill violation(s)")
-        raise _CheckFailed()
-    print("PASS: all shard-fault drills bit-identical to serial")
-
-
 def _cmd_lint(args) -> None:
     from pathlib import Path
 
@@ -1069,7 +942,6 @@ def _cmd_lint(args) -> None:
         AstCache,
         all_rules,
         lint_paths,
-        load_index,
         prune_baseline,
         write_baseline,
     )
@@ -1086,11 +958,6 @@ def _cmd_lint(args) -> None:
     cache = AstCache(Path(args.cache)) if args.cache else None
     paths = [Path(p) for p in args.paths]
     baseline_path = Path(args.baseline) if args.baseline else None
-    index = None
-    if args.partition_report:
-        # The manifest needs the program index lint_paths builds
-        # internally; build it once here and share it.
-        index = load_index(paths, cache=cache)
     if args.prune_baseline:
         if baseline_path is None:
             from repro.errors import AnalysisError
@@ -1098,7 +965,7 @@ def _cmd_lint(args) -> None:
             raise AnalysisError("--prune-baseline requires --baseline")
         report = lint_paths(
             paths, rules=rules, baseline=None, fail_on=args.fail_on,
-            cache=cache, index=index,
+            cache=cache,
         )
         kept, pruned = prune_baseline(baseline_path, report.findings)
         print(f"pruned {pruned} stale baseline entr"
@@ -1111,7 +978,6 @@ def _cmd_lint(args) -> None:
         baseline=baseline_path,
         fail_on=args.fail_on,
         cache=cache,
-        index=index,
     )
     if args.write_baseline:
         write_baseline(Path(args.write_baseline), report.findings)
@@ -1130,20 +996,7 @@ def _cmd_lint(args) -> None:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json())
         print(f"wrote JSON report to {args.json_out}")
-    manifest_bad = False
-    if args.partition_report:
-        from repro.analyze.partition import build_partition, write_manifest
-
-        manifest = build_partition(index).manifest(index)
-        write_manifest(manifest, args.partition_report)
-        summary = manifest["summary"]
-        print(f"wrote partition manifest to {args.partition_report}: "
-              f"{summary['shards']} shard(s), "
-              f"{summary['cross_shard_edges']} cross-shard port edge(s), "
-              f"{summary['unsynchronized_writes']} unsynchronized "
-              f"cross-shard write(s)")
-        manifest_bad = summary["unsynchronized_writes"] > 0
-    if not report.ok or manifest_bad:
+    if not report.ok:
         raise _CheckFailed()
 
 

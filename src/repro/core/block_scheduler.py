@@ -42,10 +42,10 @@ class BlockScheduler(Module, BlockSource):
         return len(self._queue)
 
     @property
-    def all_done(self) -> bool:  # repro: port
+    def all_done(self) -> bool:
         return self._completed == len(self.kernel.blocks)
 
-    def peek_block(self) -> Optional[BlockTrace]:  # repro: port
+    def peek_block(self) -> Optional[BlockTrace]:
         """Next pending block without dispatching it (SMs check fit first)."""
         if not self._queue:
             return None

@@ -136,12 +136,7 @@ class DetailedLDSTUnit(Module, InstructionSink):
         if self._port_free > cycle:
             self.counters.add("dispatch_stalls")
             return None
-        # The memory system retains listener/warp/inst until completion:
-        # that alias IS the designed completion back-channel (it answers
-        # through the on_complete port, never by mutating them mid-run).
-        accepted = self.memory.issue_global(
-            self.sm_id, self.listener, warp, inst, cycle
-        )  # repro: noqa[SH502]
+        accepted = self.memory.issue_global(self.sm_id, self.listener, warp, inst, cycle)
         if not accepted:
             self.counters.add("queue_stalls")
             return None

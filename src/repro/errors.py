@@ -141,95 +141,15 @@ class UnknownRuleError(AnalysisError):
     is rejected loudly instead of ignored."""
 
 
-class PartitionStale(AnalysisError):
-    """A partition manifest was generated from a different source tree
-    than the one now running.
-
-    The sharded engine trusts the manifest's cross-shard edge list
-    completely — running on top of a stale one could silently violate
-    the zero-unsynchronized-writes guarantee — so the loader fails
-    closed instead of proceeding.  Regenerate with
-    ``repro lint src --partition-report <path>``.
-    """
-
-    def __init__(self, message: str, *, manifest_path: str = "",
-                 expected_fingerprint: str = "",
-                 actual_fingerprint: str = "") -> None:
-        super().__init__(message)
-        self.manifest_path = manifest_path
-        self.expected_fingerprint = expected_fingerprint
-        self.actual_fingerprint = actual_fingerprint
-
-
-class ShardSyncError(SimulationError):
-    """A sharded run attempted unsynchronized cross-shard communication.
-
-    The runtime counterpart of static rule SH501: in windowed mode every
-    cross-shard interaction must go through a latency channel, so a
-    direct cross-shard :meth:`Engine.wake` (or a channel whose latency
-    is below the lookahead window) would let one shard observe another
-    mid-window and break bit-equivalence.  Fails closed."""
-
-
-class ShardFault(SimulationError):
-    """Base class for per-shard worker failures in a supervised sharded
-    run (:mod:`repro.sim.shardfault`).
-
-    Carries the shard name, the window boundary that was the last
-    globally consistent cut before the failure, and the recovery attempt
-    number — everything the supervisor needs to respawn the worker and
-    replay it to the boundary from its inbound channel transcript.
-    """
-
-    #: Short machine-readable failure kind, mirrored in fault records.
-    kind = "shard-fault"
-    #: Whether the shard supervisor may attempt replay recovery.
-    retryable = True
-
-    def __init__(self, message: str, *, shard: str = "?",
-                 boundary: int = 0, attempt: int = 0) -> None:
-        super().__init__(message)
-        self.shard = shard
-        self.boundary = boundary
-        self.attempt = attempt
-
-    def __str__(self) -> str:
-        return (
-            f"shard {self.shard!r} at boundary {self.boundary} "
-            f"(attempt {self.attempt}): {super().__str__()}"
-        )
-
-
-class ShardCrash(ShardFault):
-    """A shard worker process died (non-zero exit, killed, or lost its
-    pipe) before reaching the window barrier."""
-
-    kind = "shard-crash"
-
-
-class ShardHang(ShardFault):
-    """A shard worker missed its per-window heartbeat deadline; the
-    supervisor reaped it rather than block the barrier forever."""
-
-    kind = "shard-hang"
-
-
-class ShardProtocolError(ShardFault):
-    """A shard worker spoke the windowed protocol incorrectly (unknown
-    reply tag, malformed tuple).  Indicates a bug, not an environmental
-    fault, so it is not retryable — the supervisor degrades or raises."""
-
-    kind = "shard-protocol"
-    retryable = False
-
-
 class CounterKindError(MetricsError):
     """A counter name was used with both sum semantics (``add``) and
     max semantics (``peak``); the mixed value would be meaningless."""
 
 
 class WorkloadError(SwiftSimError):
-    """A synthetic workload specification is invalid."""
+    """A workload request is invalid: a malformed generator spec, an
+    unknown or duplicate application name, a bad benchmark selection or
+    repeat count, or an evaluation asked for a simulator it never ran."""
 
 
 class ServeError(SwiftSimError):

@@ -155,22 +155,11 @@ class EvaluationHarness:
         config: GPUConfig,
         scale: str = "small",
         apps: Optional[Sequence[str]] = None,
-        shard_plan=None,
-        fault_policy=None,
     ) -> None:
         self.config = config
         self.scale = scale
         self.app_list = list(apps) if apps is not None else app_names()
         self.oracle = HardwareOracle(config)
-        #: Optional :class:`~repro.sim.shard.ShardPlan`: when set, every
-        #: :class:`PlanSimulator` measurement runs on the sharded PDES
-        #: engine (bit-identical to serial by the engine contract).
-        self.shard_plan = shard_plan
-        #: Optional :class:`~repro.sim.shardfault.ShardFaultPolicy`:
-        #: when set alongside ``shard_plan``, sharded runs are
-        #: supervised — chaos shard faults are retried and exhausted
-        #: retries degrade to lockstep instead of failing the pair.
-        self.fault_policy = fault_policy
 
     def evaluate(
         self,
@@ -268,15 +257,8 @@ class EvaluationHarness:
         kernel-loop hooks; other :class:`GPUSimulator` implementations
         (e.g. a hardware oracle wrapper) run unguarded.
         """
-        if not isinstance(simulator, PlanSimulator):
+        if guard is None or not isinstance(simulator, PlanSimulator):
             return simulator.simulate(app, gather_metrics=False)
-        kwargs = {}
-        if self.shard_plan is not None:
-            kwargs["shard_plan"] = self.shard_plan
-            if self.fault_policy is not None:
-                kwargs["fault_policy"] = self.fault_policy
-        if guard is None:
-            return simulator.simulate(app, gather_metrics=False, **kwargs)
         per_pair = guard
         if guard.checkpoint_dir:
             per_pair = guard.with_(checkpoint_dir=str(
@@ -289,6 +271,4 @@ class EvaluationHarness:
             gpu_config=self.config,
             auto_resume=bool(per_pair.checkpoint_dir),
         )
-        return simulator.simulate(
-            app, gather_metrics=False, guard=run_guard, **kwargs
-        )
+        return simulator.simulate(app, gather_metrics=False, guard=run_guard)

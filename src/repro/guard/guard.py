@@ -225,12 +225,6 @@ class SimulationGuard:
         }
         meta = self.run_meta()
         meta["kernel_index"] = self._kernel_index
-        # Sharded engines frame their checkpoints with the decomposition
-        # (shard names, per-shard clocks, mode) so a resume tool — or a
-        # human reading the meta — can see what the snapshot contains.
-        shard_info = getattr(engine, "shard_info", None)
-        if callable(shard_info):
-            meta["shards"] = shard_info()
         checker = engine.checker
         engine.checker = None
         try:

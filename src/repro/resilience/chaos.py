@@ -63,13 +63,6 @@ class ChaosPlan:
     #: *model* so the in-run watchdog / invariant guards must catch it.
     stall_rate: float = 0.0
     violation_rate: float = 0.0
-    #: Shard faults (see :mod:`repro.sim.shardfault`): attack one shard
-    #: worker of a sharded PDES run — kill it at a window entry or wedge
-    #: it for ``shard_hang_seconds`` — so the shard supervisor must
-    #: recover via transcript replay or degrade to lockstep.
-    shard_kill_rate: float = 0.0
-    shard_hang_rate: float = 0.0
-    shard_hang_seconds: float = 2.0
 
     def __post_init__(self) -> None:
         for name in ("crash_rate", "hang_rate", "corrupt_rate"):
@@ -92,17 +85,6 @@ class ChaosPlan:
                 f"in-simulation injection rates sum to "
                 f"{self.stall_rate + self.violation_rate:.2f} > 1.0"
             )
-        for name in ("shard_kill_rate", "shard_hang_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.shard_kill_rate + self.shard_hang_rate > 1.0:
-            raise ConfigError(
-                f"shard injection rates sum to "
-                f"{self.shard_kill_rate + self.shard_hang_rate:.2f} > 1.0"
-            )
-        if self.shard_hang_seconds < 0:
-            raise ConfigError("shard_hang_seconds must be non-negative")
 
     @property
     def active(self) -> bool:
@@ -148,34 +130,6 @@ class ChaosPlan:
             return "stall"
         if draw < self.stall_rate + self.violation_rate:
             return "violation"
-        return None
-
-    @property
-    def shard_active(self) -> bool:
-        """True when any shard-worker fault kind can fire."""
-        return (self.shard_kill_rate + self.shard_hang_rate) > 0
-
-    def decide_shard(self, task: str, attempt: int = 1) -> Optional[str]:
-        """The shard fault for this (task, attempt), or ``None``.
-
-        Returns ``"kill"`` or ``"hang"``.  ``task`` identifies the
-        victim slot (typically ``"<shard>@w<window>"``), and a recovery
-        retry uses a fresh attempt number — so repeated faults on one
-        slot eventually draw clean and the supervised run converges,
-        unless the rates sum to 1 (the deliberate degrade drill).  Drawn
-        from an independent seed stream (``"chaos-shard"``) so enabling
-        shard faults never reshuffles process or in-simulation draws.
-        """
-        if not self.shard_active:
-            return None
-        rng = random.Random(
-            derive_seed("chaos-shard", self.seed, task, attempt)
-        )
-        draw = rng.random()
-        if draw < self.shard_kill_rate:
-            return "kill"
-        if draw < self.shard_kill_rate + self.shard_hang_rate:
-            return "hang"
         return None
 
     def corrupt(self, result: object) -> object:

@@ -190,6 +190,18 @@ class _Running:
     deadline: Optional[float]
 
 
+def default_worker_count() -> int:
+    """Worker processes to use when the caller does not say: the CPUs
+    this process may run on (its affinity mask, so a pinned or
+    cpuset-limited run starts no more workers than it can use), capped
+    at the paper's 50 threads."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, 50))
+
+
 class Supervisor:
     """Runs tasks under a retry policy with optional fault injection."""
 
@@ -203,7 +215,7 @@ class Supervisor:
     ) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
         if workers is None:
-            workers = max(1, min(os.cpu_count() or 1, 50))
+            workers = default_worker_count()
         self.workers = max(1, workers)
         self.chaos = chaos
         self.context = context

@@ -47,17 +47,6 @@ class JobRequest:
     allow_degraded: bool = True
     trace_hash: str = ""           # optional client-side pins, verified
     config_hash: str = ""
-    #: 0 = serial engine; 2 = two-way SM/memory sharded lockstep run.
-    #: Sharded results are bit-identical to serial by the engine
-    #: contract, so the cache identity deliberately does NOT include
-    #: this field — a cached serial answer satisfies a sharded request
-    #: and vice versa.
-    parallel_shards: int = 0
-    #: Optional shard-fault drill knobs (sharded runs only): keys
-    #: ``seed``, ``kill_rate``, ``hang_rate``, ``max_attempts``,
-    #: ``degrade``.  Terminal (non-degradable) shard faults surface as
-    #: execution failures and trip the per-region circuit breaker.
-    shard_fault: Optional[Dict] = None
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "JobRequest":
@@ -79,21 +68,6 @@ class JobRequest:
                     f"'deadline_seconds' must be positive, got {deadline!r}"
                 )
             deadline = float(deadline)
-        shards = payload.get("parallel_shards", 0)
-        if not isinstance(shards, int) or shards not in (0, 2):
-            raise ServeError(
-                f"'parallel_shards' must be 0 (serial) or 2 (two-way "
-                f"split), got {shards!r}"
-            )
-        shard_fault = payload.get("shard_fault")
-        if shard_fault is not None:
-            if not isinstance(shard_fault, dict):
-                raise ServeError("'shard_fault' must be an object")
-            if shards == 0:
-                raise ServeError(
-                    "'shard_fault' requires a sharded run "
-                    "(set parallel_shards)"
-                )
         return cls(
             app=app,
             scale=str(payload.get("scale", "tiny")),
@@ -104,8 +78,6 @@ class JobRequest:
             allow_degraded=bool(payload.get("allow_degraded", True)),
             trace_hash=str(payload.get("trace_hash", "")),
             config_hash=str(payload.get("config_hash", "")),
-            parallel_shards=shards,
-            shard_fault=shard_fault,
         )
 
     def to_dict(self) -> Dict:
@@ -124,10 +96,6 @@ class JobRequest:
             payload["trace_hash"] = self.trace_hash
         if self.config_hash:
             payload["config_hash"] = self.config_hash
-        if self.parallel_shards:
-            payload["parallel_shards"] = self.parallel_shards
-        if self.shard_fault is not None:
-            payload["shard_fault"] = self.shard_fault
         return payload
 
 

@@ -196,8 +196,7 @@ class SweepService:
             key=identity["key"][:16],
             fn=execute_job,
             args=(request.app, request.scale, request.config,
-                  request.gpu, request.simulator,
-                  request.parallel_shards, request.shard_fault),
+                  request.gpu, request.simulator),
             validate=validate_result_payload,
         )
         supervisor = Supervisor(

@@ -17,7 +17,6 @@ from repro.frontend.config import GPUConfig
 from repro.frontend.config_io import gpu_config_from_dict
 from repro.frontend.presets import get_preset
 from repro.resilience.journal import result_to_dict
-from repro.simulators.base import PlanSimulator
 from repro.simulators.accel_like import AccelSimLike
 from repro.simulators.interval import IntervalSimulator
 from repro.simulators.swift_analytic import SwiftSimAnalytic
@@ -43,52 +42,18 @@ def resolve_gpu(config: Optional[Dict], gpu_preset: str) -> GPUConfig:
     return get_preset(gpu_preset)
 
 
-def shard_fault_policy_from_dict(spec: Optional[Dict]):
-    """Build a :class:`~repro.sim.shardfault.ShardFaultPolicy` from the
-    request's ``shard_fault`` knobs (``None`` → ``None``)."""
-    if spec is None:
-        return None
-    from repro.resilience.chaos import ChaosPlan
-    from repro.resilience.policy import RetryPolicy
-    from repro.sim.shardfault import ShardFaultPolicy
-
-    return ShardFaultPolicy(
-        retry=RetryPolicy(
-            max_attempts=int(spec.get("max_attempts", 3)),
-            base_delay=0.01, max_delay=0.2, jitter=0.0,
-        ),
-        chaos=ChaosPlan(
-            seed=int(spec.get("seed", 0)),
-            shard_kill_rate=float(spec.get("kill_rate", 0.0)),
-            shard_hang_rate=float(spec.get("hang_rate", 0.0)),
-        ),
-        degrade=bool(spec.get("degrade", True)),
-    )
-
-
 def execute_job(
     app_name: str,
     scale: str,
     config: Optional[Dict],
     gpu_preset: str,
     simulator_name: str,
-    parallel_shards: int = 0,
-    shard_fault: Optional[Dict] = None,
 ) -> Dict:
     """Run one job to completion and return the journal-form result.
 
     Returns a plain dict (:func:`~repro.resilience.journal.result_to_dict`
     form) rather than a ``SimulationResult`` so the payload crosses the
     worker pipe, the journal, and the store without re-serialization.
-
-    ``parallel_shards=2`` runs a :class:`PlanSimulator` on the sharded
-    lockstep engine (bit-identical to serial, so the cache key is
-    unchanged); ``shard_fault`` arms the shard supervisor's chaos/retry
-    ladder.  A terminal (non-degradable) shard fault propagates as a
-    :class:`~repro.errors.ShardFault` — a ``SwiftSimError`` — so the
-    service records the failure against the per-(simulator,
-    config-region) circuit breaker exactly like any other execution
-    failure: repeated shard faults trip the breaker.
     """
     simulator_cls = SIMULATORS.get(simulator_name)
     if simulator_cls is None:
@@ -98,17 +63,7 @@ def execute_job(
         )
     gpu = resolve_gpu(config, gpu_preset)
     app = make_app(app_name, scale=scale)
-    simulator = simulator_cls(gpu)
-    if parallel_shards and isinstance(simulator, PlanSimulator):
-        from repro.sim.shard import ShardPlan
-
-        result = simulator.simulate(
-            app,
-            shard_plan=ShardPlan.two_way(),
-            fault_policy=shard_fault_policy_from_dict(shard_fault),
-        )
-    else:
-        result = simulator.simulate(app)
+    result = simulator_cls(gpu).simulate(app)
     return result_to_dict(result)
 
 

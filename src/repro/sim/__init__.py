@@ -10,22 +10,6 @@ counters harvested by the :class:`~repro.sim.metrics.MetricsGatherer`.
 """
 
 from repro.sim.engine import ClockedModule, Engine, EngineChecker
-from repro.sim.parallel import (
-    ProcessRunOutcome,
-    ShardBuild,
-    ShardedEngine,
-    ShardStats,
-    run_sharded_processes,
-)
-from repro.sim.shard import (
-    ChannelEndpoint,
-    ShardChannel,
-    ShardPlan,
-    Transcript,
-    TranscriptWriter,
-    derive_lookahead,
-    load_transcript,
-)
 from repro.sim.metrics import (
     DuplicateModuleNameWarning,
     MetricsGatherer,
@@ -39,20 +23,13 @@ from repro.sim.plan import (
     SWIFT_MEMORY_PLAN,
     ModelingPlan,
 )
-from repro.sim.ports import (
-    PENDING,
-    CompletionListener,
-    InstructionSink,
-    IssueResult,
-    ShardPortProxy,
-)
+from repro.sim.ports import PENDING, CompletionListener, InstructionSink, IssueResult
 
 __all__ = [
     "ACCEL_LIKE_PLAN",
     "COMPONENTS",
     "SWIFT_BASIC_PLAN",
     "SWIFT_MEMORY_PLAN",
-    "ChannelEndpoint",
     "ClockedModule",
     "CompletionListener",
     "Counters",
@@ -67,16 +44,4 @@ __all__ = [
     "ModelingPlan",
     "Module",
     "PENDING",
-    "ProcessRunOutcome",
-    "ShardBuild",
-    "ShardChannel",
-    "ShardPlan",
-    "ShardPortProxy",
-    "ShardStats",
-    "ShardedEngine",
-    "Transcript",
-    "TranscriptWriter",
-    "derive_lookahead",
-    "load_transcript",
-    "run_sharded_processes",
 ]

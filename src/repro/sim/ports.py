@@ -69,75 +69,6 @@ class CompletionListener(ABC):
         """Called by a sink when a :data:`PENDING` instruction finishes."""
 
 
-class ShardPortProxy:
-    """Transparent wrapper for a port reference that crosses shards.
-
-    In a sharded lockstep run the module graph is decomposed per the
-    partition manifest, but port calls between shards remain direct
-    Python calls (lockstep serializes ticks globally, so synchronous
-    cross-shard calls are safe — the "synchronous-port conservative
-    floor").  Wrapping the reference makes every cross-shard edge
-    *observable*: calls to the declared port methods are tallied into a
-    shared traffic dict keyed ``"<edge>.<method>"``, which the sharded
-    check pillar and the speedup bench report.
-
-    The proxy is deliberately NOT a :class:`~repro.sim.module.Module`:
-    it must stay invisible to the metrics tree, ``engine.add``, and
-    ``isinstance`` dispatch — callers keep the raw object for those and
-    hand out the proxy only as a constructor argument.  Attribute reads
-    (including mutation of the target's own state through returned
-    objects) delegate untouched, so behaviour is bit-identical to the
-    unwrapped reference.
-    """
-
-    #: The fixed inter-module interface surface (this module's
-    #: contracts) plus the block-scheduler and memory entry points the
-    #: assembled simulators call across the SM/memory boundary.
-    PORT_METHODS = frozenset({
-        "try_issue",
-        "on_complete",
-        "next_block",
-        "block_done",
-        "access_global",
-        "issue_global",
-        "access",
-        "enqueue",
-    })
-
-    def __init__(self, target, edge: str, traffic: Optional[dict] = None):
-        self._target = target
-        self._edge = edge
-        self._traffic = {} if traffic is None else traffic
-
-    @property
-    def raw(self):
-        """The unwrapped reference (for identity checks and engine.add)."""
-        return self._target
-
-    def __getattr__(self, name: str):
-        # Dunder lookups (pickle protocol probes, copy, repr fallbacks)
-        # must never recurse into a half-built proxy.
-        if name.startswith("__") and name.endswith("__"):
-            raise AttributeError(name)
-        target = self.__dict__.get("_target")
-        if target is None:
-            raise AttributeError(name)
-        value = getattr(target, name)
-        if name in self.PORT_METHODS and callable(value):
-            traffic = self._traffic
-            key = f"{self._edge}.{name}"
-
-            def counted(*args, **kwargs):
-                traffic[key] = traffic.get(key, 0) + 1
-                return value(*args, **kwargs)
-
-            return counted
-        return value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardPortProxy({self._edge}: {self._target!r})"
-
-
 class BlockSource(ABC):
     """Interface the SMs use to pull thread blocks from the Block Scheduler."""
 

@@ -16,7 +16,6 @@ boundaries).
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Type
@@ -28,15 +27,15 @@ from repro.guard import GuardConfig, SimulationGuard
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.journal import RunJournal
 from repro.resilience.policy import NO_RETRY, RetryPolicy
-from repro.resilience.supervisor import Supervisor, Task, TaskOutcome
+from repro.resilience.supervisor import (
+    Supervisor,
+    Task,
+    TaskOutcome,
+    default_worker_count,
+)
 from repro.sim.plan import ModelingPlan
 from repro.simulators.base import PlanSimulator
 from repro.simulators.results import SimulationResult
-
-
-def default_worker_count() -> int:
-    """Worker processes to use when the caller does not say."""
-    return max(1, min(os.cpu_count() or 1, 50))
 
 
 def _simulate_one(

@@ -51,9 +51,6 @@ EXPECTED = {
     "WR305": 1,  # Hub.shared_scratch class dict
     "SW401": 2,  # class-level lambda + open() on self
     "SW402": 1,  # Task carrying a lambda
-    "SH501": 1,  # RacyProducer writes RxQueue.drained directly
-    "SH502": 1,  # scratch dict aliased across the enqueue port
-    "SH503": 1,  # tick-order dependent read of peer.drained
 }
 
 
@@ -102,8 +99,8 @@ class TestSeededFixtures:
 
     def test_gate_fails_on_fresh_errors(self, fixture_report):
         assert not fixture_report.ok
-        assert len(fixture_report.errors) == 12
-        assert len(fixture_report.warnings) == 8
+        assert len(fixture_report.errors) == 11
+        assert len(fixture_report.warnings) == 6
 
 
 class TestNoqa:
@@ -203,7 +200,7 @@ class TestCli:
         capsys.readouterr()
         payload = json.loads(json_path.read_text())
         assert payload["ok"] is False
-        assert payload["errors"] == 12
+        assert payload["errors"] == 11
         assert {f["rule"] for f in payload["findings"]} == set(EXPECTED)
 
     def test_write_then_apply_baseline(self, tmp_path, capsys):

@@ -1,10 +1,9 @@
-"""Tests for the whole-program shard-safety analyzer.
+"""Tests for the linter's reporting surface.
 
-Covers the dataflow layers (:mod:`repro.analyze.callgraph`,
-:mod:`repro.analyze.stateflow`), the SH rule family on the seeded
-fixture, the partition manifest for the package's own source, and the
-CLI surface added alongside (``--partition-report``, ``--format
-sarif``, ``--prune-baseline``, catalog-keyed caching, noqa edge cases).
+Covers ``--format sarif``, ``--prune-baseline``, the catalog-keyed
+findings cache and the noqa edge cases, all exercised on the
+determinism fixture, whose one-per-rule plants give a known set of
+findings.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from repro.analyze import (
     AstCache,
     LintFinding,
     all_rules,
-    build_callgraph,
-    build_partition,
-    build_stateflow,
     catalog_hash,
     lint_paths,
     load_baseline,
@@ -29,177 +25,27 @@ from repro.analyze import (
     write_baseline,
 )
 from repro.analyze.index import load_index
-from repro.analyze.partition import MANIFEST_FORMAT, MEM_SIDE, SM_SIDE
 from repro.cli import main
 from repro.errors import UnknownRuleError
 
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
-SHARDING_FIXTURE = FIXTURES / "bad_sharding.py"
-REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-
-@pytest.fixture(scope="module")
-def fixture_index():
-    return load_index([SHARDING_FIXTURE])
-
-
-@pytest.fixture(scope="module")
-def src_index():
-    return load_index([REPO_SRC])
-
-
-class TestCallGraph:
-    def test_port_marker_classifies_the_call_edge(self, fixture_index):
-        graph = build_callgraph(fixture_index)
-        sites = [
-            site for site in graph.clocked_sites("RacyProducer")
-            if site.callee_method == "enqueue"
-        ]
-        assert sites and all(site.kind == "port" for site in sites)
-        assert all("RxQueue" in site.targets for site in sites)
-
-    def test_clocked_surface_reaches_tick_helpers(self, src_index):
-        graph = build_callgraph(src_index)
-        # _release_block is reached only via SubCore._dispatch ->
-        # SMCore.warp_finished, i.e. across classes: the cross-class
-        # fixpoint must still mark it clocked.
-        assert "_release_block" in graph.clocked_methods("SMCore")
-
-    def test_memoized_on_the_index(self, src_index):
-        assert build_callgraph(src_index) is build_callgraph(src_index)
-
-
-class TestStateFlow:
-    def test_foreign_write_and_read_are_recorded(self, fixture_index):
-        flow = build_stateflow(fixture_index)
-        kinds = {
-            (access.cls, access.attr, access.kind)
-            for access in flow.foreign
-            if access.owners == frozenset({"RxQueue"})
-        }
-        assert ("RacyProducer", "drained", "write") in kinds
-        assert ("RacyProducer", "drained", "read") in kinds
-
-    def test_retaining_port_param_escapes(self, fixture_index):
-        flow = build_stateflow(fixture_index)
-        assert flow.escaping_params("RxQueue", "enqueue") == frozenset(
-            {"payload"}
-        )
-
-    def test_owner_writes_on_its_own_clock(self, fixture_index):
-        flow = build_stateflow(fixture_index)
-        assert flow.writes_on_clock("RxQueue", "drained")
-        assert not flow.writes_on_clock("RxQueue", "inbox") or True
-
-
-class TestShardingRules:
-    def test_fixture_plants_one_of_each(self, fixture_index):
-        report = lint_paths(
-            [SHARDING_FIXTURE], index=fixture_index, fail_on="warning"
-        )
-        assert sorted(f.rule for f in report.findings) == [
-            "SH501", "SH502", "SH503",
-        ]
-        by_rule = {f.rule: f for f in report.findings}
-        assert "drained" in by_rule["SH501"].message
-        assert "enqueue" in by_rule["SH502"].message
-        assert "tick-order" in by_rule["SH503"].message
-
-    def test_colocated_modules_are_not_flagged(self, src_index):
-        # SubCore reads unit.busy on children it ticks itself; the
-        # partition colocates them, so SH503 must stay silent there.
-        report = lint_paths([REPO_SRC], index=src_index, fail_on="warning")
-        assert [f for f in report.findings if f.rule.startswith("SH")] == []
-
-
-class TestPartitionManifest:
-    def test_src_splits_into_sm_and_memory_shards(self, src_index):
-        manifest = build_partition(src_index).manifest(src_index)
-        assert manifest["format"] == MANIFEST_FORMAT
-        assert manifest["summary"]["shards"] >= 2
-        components = {
-            shard["name"]: set(shard["components"])
-            for shard in manifest["shards"]
-        }
-        assert components["sm"] <= SM_SIDE
-        assert any(comps <= MEM_SIDE for comps in components.values())
-
-    def test_cross_shard_edges_are_all_ports(self, src_index):
-        manifest = build_partition(src_index).manifest(src_index)
-        edges = manifest["cross_shard_edges"]
-        assert edges, "expected at least one declared cross-shard edge"
-        assert all(edge["kind"] == "port" for edge in edges)
-        assert all(
-            edge["from_shard"] != edge["to_shard"] for edge in edges
-        )
-        callees = {edge["callee"] for edge in edges}
-        assert "block_done" in callees  # reached via the cross-class path
-
-    def test_src_has_no_unsynchronized_crossings(self, src_index):
-        manifest = build_partition(src_index).manifest(src_index)
-        assert manifest["summary"]["unsynchronized_writes"] == 0
-        assert manifest["summary"]["unsynchronized_reads"] == 0
-
-    def test_fixture_race_lands_in_the_manifest(self, fixture_index):
-        manifest = build_partition(fixture_index).manifest(fixture_index)
-        writes = manifest["unsynchronized_writes"]
-        assert [w["attr"] for w in writes] == ["drained"]
-        assert writes[0]["from_shard"] != writes[0]["to_shards"][0]
-
-    def test_noqa_is_a_sign_off_for_the_manifest(self, tmp_path):
-        waved = tmp_path / "waved.py"
-        waved.write_text(
-            SHARDING_FIXTURE.read_text().replace(
-                "self.peer.drained = 0  # SH501: cross-shard write, no port",
-                "self.peer.drained = 0  # repro: noqa[SH501,SH503]",
-            ).replace(
-                "if self.peer.drained > 4:  # SH503: tick-order dependent read",
-                "if self.peer.drained > 4:  # repro: noqa[SH503]",
-            )
-        )
-        index = load_index([waved])
-        manifest = build_partition(index).manifest(index)
-        assert manifest["summary"]["unsynchronized_writes"] == 0
-        assert manifest["summary"]["unsynchronized_reads"] == 0
-
-
-class TestPartitionCli:
-    def test_report_written_and_gate_passes_on_src(self, tmp_path, capsys):
-        out = tmp_path / "manifest.json"
-        assert main(
-            ["lint", str(REPO_SRC), "--partition-report", str(out)]
-        ) == 0
-        assert "partition manifest" in capsys.readouterr().out
-        manifest = json.loads(out.read_text())
-        assert manifest["format"] == MANIFEST_FORMAT
-        assert manifest["summary"]["unsynchronized_writes"] == 0
-
-    def test_gate_fails_on_unsynchronized_writes(self, tmp_path, capsys):
-        # Grandfather every finding so the lint itself passes; the
-        # partition gate must still reject the racy write.
-        baseline = tmp_path / "baseline.json"
-        report = lint_paths([FIXTURES], fail_on="warning")
-        write_baseline(baseline, report.findings)
-        out = tmp_path / "manifest.json"
-        assert main(
-            ["lint", str(FIXTURES), "--baseline", str(baseline),
-             "--partition-report", str(out)]
-        ) == 1
-        capsys.readouterr()
-        manifest = json.loads(out.read_text())
-        assert manifest["summary"]["unsynchronized_writes"] == 1
+#: The one-per-rule plants in ``bad_determinism.py``, the fixture the
+#: SARIF, baseline-pruning, findings-cache and noqa tests lint.
+DETERMINISM_FIXTURE = FIXTURES / "bad_determinism.py"
+DETERMINISM_RULES = ("DT201", "DT202", "DT203", "DT204")
 
 
 class TestSarif:
     def test_document_shape(self):
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
+        report = lint_paths([DETERMINISM_FIXTURE], fail_on="warning")
         doc = to_sarif(report)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SH501", "SH502", "SH503"} <= rule_ids
+        assert set(DETERMINISM_RULES) <= rule_ids
         results = run["results"]
-        assert {r["ruleId"] for r in results} == {"SH501", "SH502", "SH503"}
+        assert {r["ruleId"] for r in results} == set(DETERMINISM_RULES)
         assert all(r["baselineState"] == "new" for r in results)
         assert all(
             "reproLint/v1" in r["partialFingerprints"] for r in results
@@ -207,10 +53,10 @@ class TestSarif:
 
     def test_baselined_findings_are_unchanged(self, tmp_path):
         baseline = tmp_path / "baseline.json"
-        first = lint_paths([SHARDING_FIXTURE], fail_on="warning")
+        first = lint_paths([DETERMINISM_FIXTURE], fail_on="warning")
         write_baseline(baseline, first.findings)
         rerun = lint_paths(
-            [SHARDING_FIXTURE], baseline=baseline, fail_on="warning"
+            [DETERMINISM_FIXTURE], baseline=baseline, fail_on="warning"
         )
         states = {
             r["baselineState"] for r in to_sarif(rerun)["runs"][0]["results"]
@@ -218,7 +64,7 @@ class TestSarif:
         assert states == {"unchanged"}
 
     def test_cli_format_sarif_is_parseable(self, capsys):
-        main(["lint", str(SHARDING_FIXTURE), "--format", "sarif",
+        main(["lint", str(DETERMINISM_FIXTURE), "--format", "sarif",
               "--fail-on", "warning"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["$schema"].endswith(".json")
@@ -235,17 +81,17 @@ class TestPruneBaseline:
 
     def test_prune_drops_only_stale_entries(self, tmp_path):
         baseline = tmp_path / "baseline.json"
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
+        report = lint_paths([DETERMINISM_FIXTURE], fail_on="warning")
         write_baseline(baseline, [*report.findings, self._ghost()])
         kept, pruned = prune_baseline(baseline, report.findings)
-        assert (kept, pruned) == (3, 1)
-        assert len(load_baseline(baseline)) == 3
+        assert (kept, pruned) == (len(DETERMINISM_RULES), 1)
+        assert len(load_baseline(baseline)) == len(DETERMINISM_RULES)
 
     def test_normal_run_warns_about_stale_entries(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         write_baseline(baseline, [self._ghost()])
         report = lint_paths(
-            [SHARDING_FIXTURE], baseline=baseline, fail_on="warning"
+            [DETERMINISM_FIXTURE], baseline=baseline, fail_on="warning"
         )
         rendered = report.render()
         assert "stale baseline entr" in rendered
@@ -253,31 +99,31 @@ class TestPruneBaseline:
 
     def test_cli_prune_requires_a_baseline(self, capsys):
         assert main(
-            ["lint", str(SHARDING_FIXTURE), "--prune-baseline"]
+            ["lint", str(DETERMINISM_FIXTURE), "--prune-baseline"]
         ) == 2
         assert "--baseline" in capsys.readouterr().err
 
     def test_cli_prune_rewrites_the_file(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        report = lint_paths([SHARDING_FIXTURE], fail_on="warning")
+        report = lint_paths([DETERMINISM_FIXTURE], fail_on="warning")
         write_baseline(baseline, [*report.findings, self._ghost()])
         assert main(
-            ["lint", str(SHARDING_FIXTURE), "--baseline", str(baseline),
+            ["lint", str(DETERMINISM_FIXTURE), "--baseline", str(baseline),
              "--prune-baseline"]
         ) == 0
         assert "pruned 1 stale baseline entry" in capsys.readouterr().out
-        assert len(load_baseline(baseline)) == 3
+        assert len(load_baseline(baseline)) == len(DETERMINISM_RULES)
 
 
 class TestCatalogKeyedCache:
     def test_findings_are_cached_across_runs(self, tmp_path):
         cache_path = tmp_path / "ast.cache"
         cold = lint_paths(
-            [SHARDING_FIXTURE], cache=AstCache(cache_path),
+            [DETERMINISM_FIXTURE], cache=AstCache(cache_path),
             fail_on="warning",
         )
         warm = lint_paths(
-            [SHARDING_FIXTURE], cache=AstCache(cache_path),
+            [DETERMINISM_FIXTURE], cache=AstCache(cache_path),
             fail_on="warning",
         )
         assert warm.cache_misses == 0
@@ -285,21 +131,20 @@ class TestCatalogKeyedCache:
             f.as_dict() for f in cold.findings
         ]
 
-    def test_catalog_change_drops_findings_keeps_trees(
-        self, tmp_path, fixture_index
-    ):
+    def test_catalog_change_drops_findings_keeps_trees(self, tmp_path):
         cache_path = tmp_path / "ast.cache"
         first = AstCache(cache_path)
-        lint_paths([SHARDING_FIXTURE], cache=first, fail_on="warning")
+        lint_paths([DETERMINISM_FIXTURE], cache=first, fail_on="warning")
         key = first.findings_key(
-            [source.content_hash for source in fixture_index.files],
+            [source.content_hash
+             for source in load_index([DETERMINISM_FIXTURE]).files],
             [rule.id for rule in all_rules()],
         )
         assert AstCache(cache_path).findings_for(key) is not None
         edited = AstCache(cache_path, catalog="rules-were-edited")
         assert edited.findings_for(key) is None
         rerun = lint_paths(
-            [SHARDING_FIXTURE], cache=edited, fail_on="warning"
+            [DETERMINISM_FIXTURE], cache=edited, fail_on="warning"
         )
         # Parsing is rule-independent: the AST store must survive.
         assert rerun.cache_hits == 1 and rerun.cache_misses == 0

@@ -289,14 +289,12 @@ class TestRunner:
 
     def test_all_modes_run_over_one_app(self, tiny_gpu):
         assert set(MODES) == {
-            "shadow-jump", "sharded", "differential", "determinism",
-            "sanitize", "resilience", "static", "guard", "serve",
-            "shardfault", "all"
+            "shadow-jump", "differential", "determinism", "sanitize",
+            "resilience", "static", "guard", "serve", "all"
         }
         report = run_checks(tiny_gpu, mode="all", apps=["gemm"], scale="tiny")
         assert report.ok, [f.message for f in report.violations]
         assert report.checks_run > 0
         checks_seen = {f.check for f in report.findings}
-        assert {"shadow-jump", "shadow-sharded", "differential",
-                "determinism", "sanitizer", "resilience", "static",
-                "guard"} <= checks_seen
+        assert {"shadow-jump", "differential", "determinism", "sanitizer",
+                "resilience", "static", "guard"} <= checks_seen

@@ -2,7 +2,8 @@
 
 Docs drift silently; these tests pin the load-bearing claims — that the
 files DESIGN.md points at exist, that every experiment has its benchmark,
-and that the application tables match the registry.
+that relative links between the docs resolve, and that the application
+tables match the registry.
 """
 
 import re
@@ -65,6 +66,32 @@ class TestWorkloadDoc:
         text = (REPO / "DESIGN.md").read_text().lower()
         for suite in {APPLICATIONS[name][0] for name in APPLICATIONS}:
             assert suite in text, suite
+
+
+#: ``[text](target)``, text possibly wrapped across lines; the target
+#: is the first whitespace-free run inside the parentheses.
+_MD_LINK = re.compile(r"\[[^\]]*\]\(\s*([^)\s]+)[^)]*\)")
+
+
+def _doc_pages():
+    pages = [REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    return pages + sorted((REPO / "docs").glob("*.md"))
+
+
+class TestDocLinks:
+    def test_relative_links_resolve(self):
+        checked = 0
+        broken = []
+        for page in _doc_pages():
+            for target in _MD_LINK.findall(page.read_text()):
+                if "://" in target or target.startswith(("#", "mailto:")):
+                    continue
+                path = target.split("#", 1)[0]
+                checked += 1
+                if not (page.parent / path).exists():
+                    broken.append(f"{page.relative_to(REPO)} -> {target}")
+        assert not broken, broken
+        assert checked, "no relative links found; the scan matched nothing"
 
 
 class TestExamplesRunnable:

@@ -10,6 +10,8 @@ ignore set).
 
 import json
 import os
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,31 @@ class TestTornCheckpoints:
         self._write(tmp_path, cycle=500, meta={"app": "gemm", "n": 1})
         newest = self._write(tmp_path, cycle=1000, meta={"app": "gemm", "n": 2})
         newest.write_bytes(newest.read_bytes()[:40])
+        found = find_resumable(tmp_path)
+        assert found is not None
+        path, meta, __ = found
+        assert meta["cycle"] == 500
+
+    def test_payload_naming_a_removed_class_is_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint from an older build can pickle a class this
+        build no longer has.  Its framing and digest are intact, but the
+        payload cannot load, so resume must fall back past it."""
+        retired = types.ModuleType("repro_retired_engine")
+        retired.RetiredEngine = type(
+            "RetiredEngine", (), {"__module__": retired.__name__}
+        )
+        monkeypatch.setitem(sys.modules, retired.__name__, retired)
+        self._write(tmp_path, cycle=500, meta={"app": "gemm", "n": 1})
+        newest = self._write(
+            tmp_path, cycle=1000,
+            payload={"engine": retired.RetiredEngine()},
+            meta={"app": "gemm", "n": 2},
+        )
+        monkeypatch.delitem(sys.modules, retired.__name__)
+        with pytest.raises(CheckpointCorruption, match="does not unpickle"):
+            read_checkpoint(newest)
         found = find_resumable(tmp_path)
         assert found is not None
         path, meta, __ = found

@@ -1,7 +1,10 @@
 """Tests for the multiprocess parallel simulation driver."""
 
+import os
+
 import pytest
 
+from repro.resilience.supervisor import Supervisor
 from repro.simulators.parallel import default_worker_count, simulate_apps_parallel
 from repro.simulators.swift_basic import SwiftSimBasic
 from repro.simulators.swift_memory import SwiftSimMemory
@@ -17,6 +20,20 @@ class TestParallelDriver:
     def test_default_worker_count_bounds(self):
         workers = default_worker_count()
         assert 1 <= workers <= 50
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU must not fan out to every CPU the
+        # host has; the supervisor's default is the same number.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_worker_count() == 1
+        assert Supervisor().workers == 1
+
+    def test_default_worker_count_without_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_worker_count() == 3
 
     def test_sequential_path_matches_direct(self, tiny_gpu):
         apps = [make_app(name, scale="tiny") for name in APPS]
